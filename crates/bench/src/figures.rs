@@ -594,7 +594,10 @@ pub fn warmup() -> String {
             crate::server::standard_spec(),
         )
         .inliner(config.build())
-        .config(VmConfig::builder().hotness_threshold(4).build());
+        .config(VmConfig {
+            hotness_threshold: 4,
+            ..VmConfig::default()
+        });
         if let Some(store) = snap_in {
             session = session.snapshot_in(store);
         }

@@ -57,13 +57,14 @@ pub fn standard_spec() -> ServerSpec {
 /// (tenant churn forces evictions) under `policy`, worker pool of
 /// `threads`, installs per `install`.
 pub fn standard_vm(install: InstallPolicy, policy: EvictionPolicy, threads: usize) -> VmConfig {
-    VmConfig::builder()
-        .hotness_threshold(4)
-        .compile_threads(threads)
-        .install_policy(install)
-        .code_cache_budget(1536)
-        .eviction_policy(policy)
-        .build()
+    VmConfig {
+        hotness_threshold: 4,
+        compile_threads: threads,
+        install_policy: install,
+        code_cache_budget: 1536,
+        eviction_policy: policy,
+        ..VmConfig::default()
+    }
 }
 
 /// Serves the standard scenario once and returns the report.

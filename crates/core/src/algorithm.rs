@@ -588,7 +588,6 @@ fn inline_cluster(
                 .take()
                 .expect("expanded node has a graph");
             let res = inline_call(&mut tree.root_graph, block, callsite, &body);
-            tree.recycle_graph(body);
             *inlined += 1;
             tree.node_mut(n).kind = NodeKind::Inlined;
 
@@ -701,17 +700,12 @@ fn refresh_specializations(tree: &mut CallTree, cx: &CompileCx<'_>, config: &Pol
         }
         if tree.potential_ns(c, cx) > tree.node(c).ns {
             // Re-run the trial with the improved argument facts.
-            let stale = {
-                let n = tree.node_mut(c);
-                n.kind = NodeKind::Cutoff;
-                n.children.clear();
-                n.ns = 0;
-                n.no = 0;
-                n.graph.take()
-            };
-            if let Some(g) = stale {
-                tree.recycle_graph(g);
-            }
+            let n = tree.node_mut(c);
+            n.kind = NodeKind::Cutoff;
+            n.children.clear();
+            n.ns = 0;
+            n.no = 0;
+            n.graph = None;
             tree.expand_node(c, cx, config);
         }
     }

@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use incline_ir::graph::{CallTarget, Op};
 use incline_ir::ids::{CallSiteId, ClassId, InstId, MethodId};
-use incline_ir::{Graph, GraphPool, StructuralHasher, Type};
+use incline_ir::{Graph, StructuralHasher, Type};
 use incline_vm::{CompileCx, TrialKey, TrialOutcome};
 
 use crate::metrics::Tuple;
@@ -128,10 +128,6 @@ pub struct CallTree {
     root_method: MethodId,
     /// Total IR nodes attached by expansions (compile-work accounting).
     pub explored_nodes: usize,
-    /// Recycling arena for expansion/trial graphs: consumed bodies go back
-    /// via [`CallTree::recycle_graph`] and the next expansion reuses their
-    /// buffers instead of allocating a fresh graph.
-    pool: GraphPool,
 }
 
 impl CallTree {
@@ -149,7 +145,6 @@ impl CallTree {
             root_graph,
             root_method: method,
             explored_nodes: 0,
-            pool: GraphPool::new(),
         };
         let mut root = CallNode::new(NodeKind::Root);
         root.method = Some(method);
@@ -447,10 +442,9 @@ impl CallTree {
 
         let (graph, ns, no) = if specialize {
             let arg_info = self.callsite_arg_info(n, cx);
-            self.run_trial(method, &arg_info, cx)
+            Self::run_trial(method, &arg_info, cx)
         } else {
-            let graph = self.pool.clone_graph(&cx.program.method(method).graph);
-            (graph, 0, 0)
+            (cx.program.method(method).graph.clone(), 0, 0)
         };
 
         let attached = graph.size();
@@ -466,12 +460,6 @@ impl CallTree {
         attached
     }
 
-    /// Returns a consumed expansion graph's buffers to the tree's pool so
-    /// the next expansion reuses them.
-    pub fn recycle_graph(&mut self, graph: Graph) {
-        self.pool.recycle(graph);
-    }
-
     /// Runs the deep-inlining trial bundle for `(method, args)` — clone,
     /// specialize, trial-optimize — or replays a memoized outcome from the
     /// [`incline_vm::TrialCache`] when one is attached.
@@ -481,12 +469,7 @@ impl CallTree {
     /// the argument facts: a hit returns the same graph bytes, the same
     /// `(ns, no)` and re-emits the same trace events a fresh run would
     /// produce. The differential tests assert this end to end.
-    fn run_trial(
-        &mut self,
-        method: MethodId,
-        args: &[ArgInfo],
-        cx: &CompileCx<'_>,
-    ) -> (Graph, u32, u64) {
+    fn run_trial(method: MethodId, args: &[ArgInfo], cx: &CompileCx<'_>) -> (Graph, u32, u64) {
         let template = &cx.program.method(method).graph;
         let key = cx.trials.map(|t| TrialKey {
             method,
@@ -500,10 +483,10 @@ impl CallTree {
                         cx.trace.emit(e.clone());
                     }
                 }
-                return (self.pool.clone_graph(&hit.graph), hit.ns, hit.no);
+                return (hit.graph.clone(), hit.ns, hit.no);
             }
         }
-        let mut graph = self.pool.clone_graph(template);
+        let mut graph = template.clone();
         let ns = specialize_params(cx, &mut graph, args);
         // The trial bundle (canonicalize_bundle) runs unmetered and
         // reports per-stage deltas to the trace as Trial-phase events.

@@ -309,7 +309,7 @@ pub struct ValueData {
 }
 
 /// An instruction: operation, operands and optional result value.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct InstData {
     /// The operation.
     pub op: Op,
@@ -317,25 +317,6 @@ pub struct InstData {
     pub args: Vec<ValueId>,
     /// Result value, if the operation produces one.
     pub result: Option<ValueId>,
-}
-
-impl Clone for InstData {
-    fn clone(&self) -> Self {
-        InstData {
-            op: self.op.clone(),
-            args: self.args.clone(),
-            result: self.result,
-        }
-    }
-
-    // Reuses the operand buffer — `Vec::clone_from` keeps the existing
-    // allocation — so pooled graph clones (see [`GraphPool`]) do not
-    // re-allocate per instruction.
-    fn clone_from(&mut self, source: &Self) {
-        self.op = source.op.clone();
-        self.args.clone_from(&source.args);
-        self.result = source.result;
-    }
 }
 
 /// Why a [`Terminator::Deopt`] uncommon trap was emitted.
@@ -374,7 +355,7 @@ impl std::fmt::Display for DeoptReason {
 }
 
 /// Block terminators.
-#[derive(Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Terminator {
     /// Unconditional jump passing `args` to the target's parameters.
     Jump(BlockId, Vec<ValueId>),
@@ -399,55 +380,6 @@ pub enum Terminator {
     },
     /// Marker for not-yet-terminated blocks; invalid in finished graphs.
     Unterminated,
-}
-
-impl Clone for Terminator {
-    fn clone(&self) -> Self {
-        match self {
-            Terminator::Jump(b, args) => Terminator::Jump(*b, args.clone()),
-            Terminator::Branch {
-                cond,
-                then_dest,
-                else_dest,
-            } => Terminator::Branch {
-                cond: *cond,
-                then_dest: then_dest.clone(),
-                else_dest: else_dest.clone(),
-            },
-            Terminator::Return(v) => Terminator::Return(*v),
-            Terminator::Deopt { reason } => Terminator::Deopt { reason: *reason },
-            Terminator::Unterminated => Terminator::Unterminated,
-        }
-    }
-
-    // Same-variant clones reuse the argument buffers (pooled graph reuse).
-    fn clone_from(&mut self, source: &Self) {
-        match (self, source) {
-            (Terminator::Jump(b, args), Terminator::Jump(sb, sargs)) => {
-                *b = *sb;
-                args.clone_from(sargs);
-            }
-            (
-                Terminator::Branch {
-                    cond,
-                    then_dest,
-                    else_dest,
-                },
-                Terminator::Branch {
-                    cond: sc,
-                    then_dest: st,
-                    else_dest: se,
-                },
-            ) => {
-                *cond = *sc;
-                then_dest.0 = st.0;
-                then_dest.1.clone_from(&st.1);
-                else_dest.0 = se.0;
-                else_dest.1.clone_from(&se.1);
-            }
-            (this, source) => *this = source.clone(),
-        }
-    }
 }
 
 impl Terminator {
@@ -487,7 +419,7 @@ impl Terminator {
 }
 
 /// A basic block: parameters, instruction list, terminator.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct BlockData {
     /// Parameter values of the block (the SSA phi replacement).
     pub params: Vec<ValueId>,
@@ -497,50 +429,13 @@ pub struct BlockData {
     pub term: Terminator,
 }
 
-impl Clone for BlockData {
-    fn clone(&self) -> Self {
-        BlockData {
-            params: self.params.clone(),
-            insts: self.insts.clone(),
-            term: self.term.clone(),
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        self.params.clone_from(&source.params);
-        self.insts.clone_from(&source.insts);
-        self.term.clone_from(&source.term);
-    }
-}
-
 /// An IR graph: the body of one method.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct Graph {
     values: Vec<ValueData>,
     insts: Vec<InstData>,
     blocks: Vec<BlockData>,
     entry: BlockId,
-}
-
-impl Clone for Graph {
-    fn clone(&self) -> Self {
-        Graph {
-            values: self.values.clone(),
-            insts: self.insts.clone(),
-            blocks: self.blocks.clone(),
-            entry: self.entry,
-        }
-    }
-
-    // Field-wise `clone_from` so a recycled graph (see [`GraphPool`]) reuses
-    // its outer vectors and every inner operand/parameter buffer instead of
-    // re-allocating the whole arena.
-    fn clone_from(&mut self, source: &Self) {
-        self.values.clone_from(&source.values);
-        self.insts.clone_from(&source.insts);
-        self.blocks.clone_from(&source.blocks);
-        self.entry = source.entry;
-    }
 }
 
 impl Default for Graph {
@@ -989,7 +884,9 @@ impl Graph {
 /// FNV-1a 64 accumulator with typed writers for IR entities — the shared
 /// substrate of [`Graph::fingerprint`] and the inliner's trial-cache
 /// argument hashing (which hashes `Op` constants and `Type` narrowings
-/// without a graph in hand).
+/// without a graph in hand). [`StructuralHasher::write_bytes`] is the
+/// workspace's one FNV-1a byte loop: snapshot checksums and the server's
+/// answer digests hash through it too.
 #[derive(Clone, Copy, Debug)]
 pub struct StructuralHasher {
     state: u64,
@@ -1009,12 +906,17 @@ impl StructuralHasher {
         }
     }
 
-    /// Folds eight little-endian bytes into the state.
-    pub fn write_u64(&mut self, v: u64) {
-        for byte in v.to_le_bytes() {
-            self.state ^= byte as u64;
+    /// Folds raw bytes into the state, one FNV-1a step per byte.
+    pub fn write_bytes(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.state ^= u64::from(byte);
             self.state = self.state.wrapping_mul(0x0000_0100_0000_01b3);
         }
+    }
+
+    /// Folds eight little-endian bytes into the state.
+    pub fn write_u64(&mut self, v: u64) {
+        self.write_bytes(&v.to_le_bytes());
     }
 
     /// The accumulated digest.
@@ -1168,65 +1070,6 @@ impl StructuralHasher {
             }
             Terminator::Unterminated => self.write_u64(4),
         }
-    }
-}
-
-/// A recycling pool of [`Graph`] allocations — the arena the incremental
-/// inliner draws trial and expansion graphs from.
-///
-/// Call-tree expansion clones a callee graph per expanded node and the
-/// trial pipeline churns through scratch graphs every round; allocating
-/// each from scratch dominated the compiler's allocation profile (see
-/// `BENCH_compile.json`). The pool keeps up to [`GraphPool::CAPACITY`]
-/// retired graphs and re-populates them with [`Clone::clone_from`], which
-/// reuses the value/instruction/block vectors and every inner operand
-/// buffer.
-#[derive(Debug, Default)]
-pub struct GraphPool {
-    free: Vec<Graph>,
-}
-
-impl Clone for GraphPool {
-    // Pooled graphs are scratch buffers, not state: a clone starts empty
-    // and warms its own pool, which keeps cloning a pool-holding structure
-    // cheap.
-    fn clone(&self) -> Self {
-        GraphPool::new()
-    }
-}
-
-impl GraphPool {
-    /// Retired graphs kept for reuse; beyond this, recycled graphs drop.
-    pub const CAPACITY: usize = 32;
-
-    /// An empty pool.
-    pub fn new() -> Self {
-        GraphPool::default()
-    }
-
-    /// Clones `template`, reusing a retired graph's buffers when one is
-    /// available. The result is indistinguishable from `template.clone()`.
-    pub fn clone_graph(&mut self, template: &Graph) -> Graph {
-        match self.free.pop() {
-            Some(mut g) => {
-                g.clone_from(template);
-                g
-            }
-            None => template.clone(),
-        }
-    }
-
-    /// Returns a graph's buffers to the pool for a later
-    /// [`GraphPool::clone_graph`].
-    pub fn recycle(&mut self, graph: Graph) {
-        if self.free.len() < Self::CAPACITY {
-            self.free.push(graph);
-        }
-    }
-
-    /// Number of retired graphs currently pooled.
-    pub fn pooled(&self) -> usize {
-        self.free.len()
     }
 }
 
@@ -1439,49 +1282,6 @@ mod tests {
         k(&mut g, dead, 99);
         g.set_terminator(dead, Terminator::Return(None));
         assert_eq!(g.fingerprint(), build(2).fingerprint());
-    }
-
-    #[test]
-    fn pooled_clone_matches_fresh_clone() {
-        let mut g = Graph::empty();
-        let e = g.entry();
-        let a = k(&mut g, e, 1);
-        let b = k(&mut g, e, 2);
-        let (_, s) = g.append(e, Op::Bin(BinOp::IAdd), vec![a, b], Some(Type::Int));
-        g.set_terminator(e, Terminator::Return(s));
-
-        let mut pool = GraphPool::new();
-        // Seed the pool with a retired graph of a very different shape.
-        let mut other = Graph::empty();
-        let o = other.entry();
-        for v in 0..8 {
-            k(&mut other, o, v);
-        }
-        other.set_terminator(o, Terminator::Return(None));
-        pool.recycle(other);
-        assert_eq!(pool.pooled(), 1);
-
-        let cloned = pool.clone_graph(&g);
-        assert_eq!(pool.pooled(), 0);
-        assert_eq!(cloned.fingerprint(), g.fingerprint());
-        assert_eq!(cloned.size(), g.size());
-        assert_eq!(cloned.inst_count(), g.inst_count());
-        assert_eq!(cloned.value_count(), g.value_count());
-        // And a pool miss falls back to a fresh clone.
-        let fresh = pool.clone_graph(&g);
-        assert_eq!(fresh.fingerprint(), g.fingerprint());
-    }
-
-    #[test]
-    fn terminator_clone_from_reuses_same_variant() {
-        let mut t = Terminator::Jump(BlockId::new(0), vec![ValueId::new(0)]);
-        let s = Terminator::Jump(BlockId::new(2), vec![ValueId::new(3), ValueId::new(4)]);
-        t.clone_from(&s);
-        assert_eq!(t, s);
-        // Cross-variant falls back to a plain clone.
-        let r = Terminator::Return(None);
-        t.clone_from(&r);
-        assert_eq!(t, r);
     }
 
     #[test]

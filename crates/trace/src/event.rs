@@ -265,14 +265,14 @@ pub enum CompileEvent {
         method: MethodId,
         /// Modeled code bytes released back to the cache budget.
         bytes: u64,
-        /// Eviction policy that picked this victim (`lru`, `hotness`,
-        /// `cost-benefit`, or `forced` for injected evictions).
+        /// Eviction policy that picked this victim (`lru`, `hotness`, or
+        /// `forced` for injected evictions).
         policy: String,
         /// Compiled activations the victim served while resident.
         resident_uses: u64,
     },
-    /// Admission control refused to install a compiled package: its modeled
-    /// benefit could not beat the cheapest victim, or no victim was
+    /// Admission control refused to install a compiled package: it did not
+    /// outscore the cheapest victim under the policy, or no victim was
     /// evictable. The method stays in (or returns to) the interpreter with a
     /// backed-off re-admission bar.
     AdmissionRejected {

@@ -7,16 +7,13 @@
 //! deterministic: every score is integer arithmetic over a
 //! [`CacheEntry`] snapshot, and all orderings tie-break on [`MethodId`].
 //!
-//! Lower score = evicted first. The three policies:
+//! Lower score = evicted first. The two policies:
 //!
 //! * [`EvictionPolicy::Lru`] — score is the tick of the last compiled
 //!   activation; the method that ran longest ago goes first.
 //! * [`EvictionPolicy::HotnessDecay`] — score is the resident use count
 //!   decayed by idle time, `uses * SCALE / (idle + 1)`; a method's past
 //!   heat buys it residency that idle ticks steadily erode.
-//! * [`EvictionPolicy::CostBenefit`] — score is the Eq. 9–11 flavored
-//!   benefit density `benefit * SCALE / bytes`; the method saving the
-//!   fewest modeled cycles per occupied byte goes first.
 //!
 //! **Aging** floors a score: an entry marked `aged` (idle past
 //! [`crate::VmConfig::cache_age_window`]) sorts before every non-aged
@@ -26,14 +23,14 @@
 //! **Admission** compares the candidate package, scored as a hypothetical
 //! entry at the install tick, against the cheapest victim: the candidate
 //! must *strictly* beat it, or the install is rejected and deferred. This
-//! is what keeps a cold giant from churning out a working set of hotter,
-//! denser methods.
+//! is what keeps a cold newcomer from churning out a working set of
+//! hotter methods.
 
 use std::fmt;
 
 use incline_ir::MethodId;
 
-/// Fixed-point scale for the decay and density scores (integer
+/// Fixed-point scale for the decay score (integer
 /// arithmetic keeps every comparison deterministic across platforms).
 const SCORE_SCALE: u128 = 1 << 16;
 
@@ -45,8 +42,6 @@ pub enum EvictionPolicy {
     Lru,
     /// Evict the lowest idle-decayed resident use count.
     HotnessDecay,
-    /// Evict the lowest modeled benefit per occupied code byte.
-    CostBenefit,
 }
 
 impl EvictionPolicy {
@@ -55,17 +50,12 @@ impl EvictionPolicy {
         match self {
             EvictionPolicy::Lru => "lru",
             EvictionPolicy::HotnessDecay => "hotness",
-            EvictionPolicy::CostBenefit => "cost-benefit",
         }
     }
 
     /// Every policy, in a fixed order (benchmark sweeps iterate this).
-    pub fn all() -> [EvictionPolicy; 3] {
-        [
-            EvictionPolicy::Lru,
-            EvictionPolicy::HotnessDecay,
-            EvictionPolicy::CostBenefit,
-        ]
+    pub fn all() -> [EvictionPolicy; 2] {
+        [EvictionPolicy::Lru, EvictionPolicy::HotnessDecay]
     }
 }
 
@@ -82,9 +72,8 @@ impl std::str::FromStr for EvictionPolicy {
         match s {
             "lru" => Ok(EvictionPolicy::Lru),
             "hotness" => Ok(EvictionPolicy::HotnessDecay),
-            "cost-benefit" => Ok(EvictionPolicy::CostBenefit),
             other => Err(format!(
-                "unknown eviction policy `{other}` (expected lru, hotness or cost-benefit)"
+                "unknown eviction policy `{other}` (expected lru or hotness)"
             )),
         }
     }
@@ -100,11 +89,7 @@ pub struct CacheEntry {
     pub last_used: u64,
     /// Compiled activations served while resident.
     pub uses: u64,
-    /// Modeled benefit of residency: profiled hotness at install × the
-    /// interpreter dispatch premium (cycles the compiled code saves per
-    /// unit of execution — the `b` of the paper's `b|c` tuples).
-    pub benefit: u64,
-    /// Modeled code bytes (the `c` of the tuple).
+    /// Modeled code bytes.
     pub bytes: u64,
     /// Idle past the aging window: the score floors to minimum.
     pub aged: bool,
@@ -118,7 +103,6 @@ fn sort_key(policy: EvictionPolicy, e: &CacheEntry, now: u64) -> (u8, u128, u64)
     let primary = match policy {
         EvictionPolicy::Lru => e.last_used as u128,
         EvictionPolicy::HotnessDecay => (e.uses as u128 * SCORE_SCALE) / (idle + 1),
-        EvictionPolicy::CostBenefit => (e.benefit as u128 * SCORE_SCALE) / e.bytes.max(1) as u128,
     };
     (aged_rank, primary, e.last_used)
 }
@@ -176,12 +160,11 @@ pub struct CacheStats {
 mod tests {
     use super::*;
 
-    fn entry(idx: u32, last_used: u64, uses: u64, benefit: u64, bytes: u64) -> CacheEntry {
+    fn entry(idx: u32, last_used: u64, uses: u64, bytes: u64) -> CacheEntry {
         CacheEntry {
             method: MethodId::new(idx as usize),
             last_used,
             uses,
-            benefit,
             bytes,
             aged: false,
         }
@@ -194,9 +177,9 @@ mod tests {
     #[test]
     fn lru_evicts_least_recently_used_first() {
         let entries = [
-            entry(0, 50, 10, 100, 64),
-            entry(1, 3, 900, 9000, 64),
-            entry(2, 17, 1, 1, 64),
+            entry(0, 50, 10, 64),
+            entry(1, 3, 900, 64),
+            entry(2, 17, 1, 64),
         ];
         let order = victim_order(EvictionPolicy::Lru, &entries, 60);
         assert_eq!(methods(&order), vec![1, 2, 0]);
@@ -204,11 +187,7 @@ mod tests {
 
     #[test]
     fn lru_ties_break_on_method_id() {
-        let entries = [
-            entry(2, 5, 0, 0, 1),
-            entry(0, 5, 0, 0, 1),
-            entry(1, 5, 0, 0, 1),
-        ];
+        let entries = [entry(2, 5, 0, 1), entry(0, 5, 0, 1), entry(1, 5, 0, 1)];
         let order = victim_order(EvictionPolicy::Lru, &entries, 10);
         assert_eq!(methods(&order), vec![0, 1, 2]);
     }
@@ -217,29 +196,16 @@ mod tests {
     fn hotness_decay_erodes_idle_heat() {
         // Method 0 was very hot but has idled for 99 ticks: 1000/100 = 10.
         // Method 1 is mildly warm and current: 40/1 = 40. The idle one goes.
-        let entries = [entry(0, 1, 1000, 0, 64), entry(1, 99, 40, 0, 64)];
+        let entries = [entry(0, 1, 1000, 64), entry(1, 99, 40, 64)];
         let order = victim_order(EvictionPolicy::HotnessDecay, &entries, 100);
         assert_eq!(methods(&order), vec![0, 1]);
     }
 
     #[test]
-    fn cost_benefit_evicts_lowest_density_first() {
-        // Densities: 100/400 = 0.25, 100/50 = 2.0, 1000/400 = 2.5 — the
-        // worst cycles-per-byte deal goes first.
-        let entries = [
-            entry(0, 9, 5, 100, 400),
-            entry(1, 9, 5, 100, 50),
-            entry(2, 9, 5, 1000, 400),
-        ];
-        let order = victim_order(EvictionPolicy::CostBenefit, &entries, 10);
-        assert_eq!(methods(&order), vec![0, 1, 2]);
-    }
-
-    #[test]
     fn aged_entries_float_to_the_front_under_every_policy() {
-        let mut hot_but_aged = entry(7, 90, 10_000, 1_000_000, 8);
+        let mut hot_but_aged = entry(7, 90, 10_000, 8);
         hot_but_aged.aged = true;
-        let cold_but_live = entry(1, 2, 1, 1, 1024);
+        let cold_but_live = entry(1, 2, 1, 1024);
         for policy in EvictionPolicy::all() {
             let order = victim_order(policy, &[cold_but_live, hot_but_aged], 100);
             assert_eq!(
@@ -252,22 +218,25 @@ mod tests {
 
     #[test]
     fn admission_requires_strictly_beating_the_cheapest_victim() {
-        let resident = entry(0, 5, 8, 80, 64);
+        let resident = entry(0, 10, 8, 64);
         // LRU: a candidate at the install tick is always newer.
-        let candidate = entry(9, 10, 8, 80, 64);
-        assert!(admits(EvictionPolicy::Lru, &candidate, &resident, 10));
-        // Cost-benefit: identical density ties — the resident stays.
-        assert!(!admits(
-            EvictionPolicy::CostBenefit,
-            &candidate,
-            &resident,
-            10
-        ));
-        // A denser candidate wins; a sparser one loses.
-        let dense = entry(9, 10, 8, 160, 64);
-        let sparse = entry(9, 10, 8, 40, 64);
-        assert!(admits(EvictionPolicy::CostBenefit, &dense, &resident, 10));
-        assert!(!admits(EvictionPolicy::CostBenefit, &sparse, &resident, 10));
+        let candidate = entry(9, 11, 8, 64);
+        assert!(admits(EvictionPolicy::Lru, &candidate, &resident, 11));
+        // Hotness: 8 uses idle 0 ticks (8/1) beat 8 uses idle 1 tick (8/2).
+        // An equal score ties and the resident stays; a colder candidate
+        // loses — the machine's `benefit_below_bar` rejection.
+        let hotness = EvictionPolicy::HotnessDecay;
+        assert!(admits(hotness, &candidate, &resident, 11));
+        let tied = entry(9, 11, 4, 64);
+        let cold = entry(9, 11, 3, 64);
+        assert!(!admits(hotness, &tied, &resident, 11));
+        assert!(!admits(hotness, &cold, &resident, 11));
+        // An aged resident loses to any live candidate under every policy.
+        let mut aged = entry(1, 1, 1000, 64);
+        aged.aged = true;
+        for policy in EvictionPolicy::all() {
+            assert!(admits(policy, &cold, &aged, 11), "{policy}");
+        }
     }
 
     #[test]
@@ -275,6 +244,12 @@ mod tests {
         for policy in EvictionPolicy::all() {
             assert_eq!(policy.label().parse::<EvictionPolicy>(), Ok(policy));
         }
-        assert!("mru".parse::<EvictionPolicy>().is_err());
+        for retired in ["mru", "cost-benefit"] {
+            let err = retired.parse::<EvictionPolicy>().unwrap_err();
+            assert_eq!(
+                err,
+                format!("unknown eviction policy `{retired}` (expected lru or hotness)")
+            );
+        }
     }
 }

@@ -60,7 +60,7 @@ pub use inliner::{
 };
 pub use machine::{
     BailoutCounters, BailoutRecord, CompilationReport, CompileStage, ExecError, InstallPolicy,
-    Machine, RunOutcome, VmConfig, VmConfigBuilder,
+    Machine, RunOutcome, VmConfig,
 };
 pub use runner::{BenchError, BenchResult, BenchSpec, RunSession};
 pub use server::{ServerError, ServerReport, ServerSession, ServerSpec, TenantReport, TenantSpec};

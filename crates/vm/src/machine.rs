@@ -67,7 +67,43 @@ use crate::snapshot::{
 };
 use crate::value::{Heap, HeapCell, HeapRef, Output, Value};
 
-/// VM configuration.
+/// Maximum guest call depth. Each guest frame costs a host frame; stay well
+/// inside the 2 MiB default stack of Rust test threads.
+const MAX_DEPTH: usize = 400;
+/// Minimum typeswitch profile coverage (summed receiver probabilities)
+/// before the fallback becomes a `deopt` instead of a virtual call.
+const DEOPT_CONFIDENCE: f64 = 0.95;
+/// Drift monitor: a compiled method is invalidated once it executes more
+/// than `DRIFT_RATE` fallback virtual dispatches per compiled invocation —
+/// the speculated cases no longer cover the hot receivers.
+const DRIFT_RATE: f64 = 2.0;
+/// Drift monitor: minimum compiled invocations before the dispatch rate is
+/// evaluated (avoids invalidating on startup noise).
+const DRIFT_MIN_SAMPLES: u64 = 8;
+/// Storm throttle: recompilations granted after invalidation before the
+/// method is pinned to fallback-only (never `deopt`) code.
+const MAX_RECOMPILES: u32 = 3;
+/// Quarantine ladder probation window, in compiled activations: a decision
+/// replayed from a snapshot that deoptimizes within its first
+/// `POISON_WINDOW` activations is attributed as *poisoned* — its code is
+/// dropped evict-style (no recompile-budget burn, no pinning), its seeded
+/// profile contribution is rolled back, and the decision is excluded from
+/// the next snapshot.
+const POISON_WINDOW: u64 = 8;
+
+/// VM configuration. Every field is public; override a few with
+/// struct-update syntax:
+///
+/// ```
+/// use incline_vm::VmConfig;
+/// let config = VmConfig {
+///     hotness_threshold: 5,
+///     code_cache_budget: 8 * 1024,
+///     deopt: true,
+///     ..VmConfig::default()
+/// };
+/// assert_eq!(config.hotness_threshold, 5);
+/// ```
 #[derive(Clone, Copy, Debug)]
 pub struct VmConfig {
     /// Cost model constants.
@@ -79,8 +115,6 @@ pub struct VmConfig {
     pub jit: bool,
     /// Maximum interpreter steps per `run` (runaway protection).
     pub fuel_steps: u64,
-    /// Maximum call depth.
-    pub max_depth: usize,
     /// Compile-work budget per compilation attempt, in IR-node units
     /// (`u64::MAX` = unmetered). An attempt that exhausts the budget bails
     /// out to the next rung of the ladder instead of running away.
@@ -91,19 +125,6 @@ pub struct VmConfig {
     /// the drift monitor). Off by default so speculation stays
     /// always-correct; the CLI enables it unless `--no-deopt`.
     pub deopt: bool,
-    /// Minimum typeswitch profile coverage (summed receiver probabilities)
-    /// before the fallback becomes a `deopt` instead of a virtual call.
-    pub deopt_confidence: f64,
-    /// Drift monitor: a compiled method is invalidated once it executes
-    /// more than `drift_rate` fallback virtual dispatches per compiled
-    /// invocation — the speculated cases no longer cover the hot receivers.
-    pub drift_rate: f64,
-    /// Drift monitor: minimum compiled invocations before the dispatch
-    /// rate is evaluated (avoids invalidating on startup noise).
-    pub drift_min_samples: u64,
-    /// Storm throttle: recompilations granted after invalidation before
-    /// the method is pinned to fallback-only (never `deopt`) code.
-    pub max_recompiles: u32,
     /// Size of the background compile-worker pool. `0` compiles inline on
     /// the mutator thread (today's synchronous broker); `N >= 1` runs each
     /// queue drain on up to `N` scoped worker threads. In
@@ -132,13 +153,6 @@ pub struct VmConfig {
     /// How a loaded warmup snapshot is applied before the first run; see
     /// [`ReplayMode`]. Irrelevant unless a snapshot is actually loaded.
     pub replay: ReplayMode,
-    /// Quarantine ladder probation window, in compiled activations: a
-    /// decision replayed from a snapshot that deoptimizes within its first
-    /// `poison_window` activations is attributed as *poisoned* — its code
-    /// is dropped evict-style (no recompile-budget burn, no pinning), its
-    /// seeded profile contribution is rolled back, and the decision is
-    /// excluded from the next snapshot. `0` disables the ladder.
-    pub poison_window: u64,
     /// Whether deep-inlining-trial results are memoized across rounds and
     /// compilations (see [`crate::trials::TrialCache`]). Trials are pure
     /// functions of (callee graph, argument specialization), so caching
@@ -184,186 +198,16 @@ impl Default for VmConfig {
             hotness_threshold: 40,
             jit: true,
             fuel_steps: 500_000_000,
-            // Each guest frame costs a host frame; stay well inside the
-            // 2 MiB default stack of Rust test threads.
-            max_depth: 400,
             compile_fuel: u64::MAX,
             deopt: false,
-            deopt_confidence: 0.95,
-            drift_rate: 2.0,
-            drift_min_samples: 8,
-            max_recompiles: 3,
             compile_threads: env_compile_threads(),
             install_policy: InstallPolicy::Barrier,
             code_cache_budget: 0,
             eviction_policy: EvictionPolicy::default(),
             cache_age_window: 1024,
             replay: ReplayMode::default(),
-            poison_window: 8,
             trial_cache: true,
         }
-    }
-}
-
-impl VmConfig {
-    /// Starts a fluent builder seeded with [`VmConfig::default`] — the
-    /// call-site-friendly alternative to enumerating struct fields:
-    ///
-    /// ```
-    /// use incline_vm::VmConfig;
-    /// let config = VmConfig::builder()
-    ///     .hotness_threshold(5)
-    ///     .code_cache_budget(8 * 1024)
-    ///     .deopt(true)
-    ///     .build();
-    /// assert_eq!(config.hotness_threshold, 5);
-    /// ```
-    pub fn builder() -> VmConfigBuilder {
-        VmConfigBuilder {
-            config: VmConfig::default(),
-        }
-    }
-}
-
-/// Fluent builder for [`VmConfig`], obtained via [`VmConfig::builder`].
-/// One setter per field, plus the [`VmConfigBuilder::pipelined`]
-/// convenience for the common Safepoint switch.
-#[derive(Clone, Copy, Debug)]
-pub struct VmConfigBuilder {
-    config: VmConfig,
-}
-
-impl VmConfigBuilder {
-    /// Sets the cost model constants.
-    pub fn cost(mut self, cost: CostModel) -> Self {
-        self.config.cost = cost;
-        self
-    }
-
-    /// Sets the hotness threshold (see [`VmConfig::hotness_threshold`]).
-    pub fn hotness_threshold(mut self, threshold: u64) -> Self {
-        self.config.hotness_threshold = threshold;
-        self
-    }
-
-    /// Enables or disables the JIT (false = pure interpreter).
-    pub fn jit(mut self, jit: bool) -> Self {
-        self.config.jit = jit;
-        self
-    }
-
-    /// Sets the interpreter step budget per `run`.
-    pub fn fuel_steps(mut self, fuel_steps: u64) -> Self {
-        self.config.fuel_steps = fuel_steps;
-        self
-    }
-
-    /// Sets the maximum call depth.
-    pub fn max_depth(mut self, max_depth: usize) -> Self {
-        self.config.max_depth = max_depth;
-        self
-    }
-
-    /// Sets the compile-work budget per compilation attempt.
-    pub fn compile_fuel(mut self, compile_fuel: u64) -> Self {
-        self.config.compile_fuel = compile_fuel;
-        self
-    }
-
-    /// Enables or disables deoptimization (see [`VmConfig::deopt`]).
-    pub fn deopt(mut self, deopt: bool) -> Self {
-        self.config.deopt = deopt;
-        self
-    }
-
-    /// Sets the minimum typeswitch coverage before speculation.
-    pub fn deopt_confidence(mut self, confidence: f64) -> Self {
-        self.config.deopt_confidence = confidence;
-        self
-    }
-
-    /// Sets the drift monitor's dispatch-rate trip point.
-    pub fn drift_rate(mut self, rate: f64) -> Self {
-        self.config.drift_rate = rate;
-        self
-    }
-
-    /// Sets the drift monitor's minimum sample count.
-    pub fn drift_min_samples(mut self, samples: u64) -> Self {
-        self.config.drift_min_samples = samples;
-        self
-    }
-
-    /// Sets the recompilation cap before speculation pinning.
-    pub fn max_recompiles(mut self, max: u32) -> Self {
-        self.config.max_recompiles = max;
-        self
-    }
-
-    /// Sizes the background compile-worker pool (0 = synchronous).
-    pub fn compile_threads(mut self, threads: usize) -> Self {
-        self.config.compile_threads = threads;
-        self
-    }
-
-    /// Sets the install policy (see [`InstallPolicy`]).
-    pub fn install_policy(mut self, policy: InstallPolicy) -> Self {
-        self.config.install_policy = policy;
-        self
-    }
-
-    /// Convenience: `true` selects [`InstallPolicy::Safepoint`] (the
-    /// `--pipelined` CLI switch), `false` [`InstallPolicy::Barrier`].
-    pub fn pipelined(mut self, pipelined: bool) -> Self {
-        self.config.install_policy = if pipelined {
-            InstallPolicy::Safepoint
-        } else {
-            InstallPolicy::Barrier
-        };
-        self
-    }
-
-    /// Sets the code-cache budget in modeled bytes (0 = unbounded).
-    pub fn code_cache_budget(mut self, budget: u64) -> Self {
-        self.config.code_cache_budget = budget;
-        self
-    }
-
-    /// Sets the eviction policy under a finite budget.
-    pub fn eviction_policy(mut self, policy: EvictionPolicy) -> Self {
-        self.config.eviction_policy = policy;
-        self
-    }
-
-    /// Sets the idle-aging window in compiled-entry ticks (0 = off).
-    pub fn cache_age_window(mut self, window: u64) -> Self {
-        self.config.cache_age_window = window;
-        self
-    }
-
-    /// Sets how a loaded warmup snapshot is applied (see [`ReplayMode`]).
-    pub fn replay(mut self, mode: ReplayMode) -> Self {
-        self.config.replay = mode;
-        self
-    }
-
-    /// Sets the quarantine probation window in compiled activations
-    /// (see [`VmConfig::poison_window`]; 0 = off).
-    pub fn poison_window(mut self, window: u64) -> Self {
-        self.config.poison_window = window;
-        self
-    }
-
-    /// Enables or disables trial-result memoization
-    /// (see [`VmConfig::trial_cache`]).
-    pub fn trial_cache(mut self, enabled: bool) -> Self {
-        self.config.trial_cache = enabled;
-        self
-    }
-
-    /// Finishes the builder.
-    pub fn build(self) -> VmConfig {
-        self.config
     }
 }
 
@@ -509,7 +353,7 @@ pub struct CompilationReport {
 pub enum ExecError {
     /// A runtime trap (the program's own fault).
     Trap(TrapKind),
-    /// Call depth exceeded [`VmConfig::max_depth`].
+    /// Guest call depth exceeded the 400-frame limit.
     StackOverflow,
     /// Step budget exceeded [`VmConfig::fuel_steps`].
     OutOfFuel,
@@ -570,7 +414,7 @@ struct CompiledMethod {
     /// Fault injection: the next compiled entry takes an uncommon trap.
     force_deopt: bool,
     /// Fault injection: the drift monitor trips deterministically once
-    /// `drift_min_samples` compiled invocations accrue.
+    /// `DRIFT_MIN_SAMPLES` compiled invocations accrue.
     force_drift: bool,
     /// Compiled activations entered since install.
     invocations: u64,
@@ -578,11 +422,6 @@ struct CompiledMethod {
     virtual_dispatches: u64,
     /// Use tick of the last compiled activation (install counts as a use).
     last_used: u64,
-    /// Modeled residency benefit frozen at install: profiled hotness × the
-    /// interpreter dispatch premium (the `b` of the paper's `b|c` tuples;
-    /// `bytes` above is the `c`). Drives the cost-benefit eviction policy
-    /// and the admission rule.
-    benefit: u64,
     /// Idle past [`VmConfig::cache_age_window`]; cleared on the next use.
     aged: bool,
 }
@@ -730,7 +569,7 @@ pub struct Machine<'p> {
     /// excluded from [`Machine::snapshot`] output.
     decision_replayed: Vec<bool>,
     snapshot_stats: SnapshotStats,
-    // Quarantine ladder (see [`VmConfig::poison_window`]).
+    // Quarantine ladder (see `POISON_WINDOW`).
     /// Whether the machine is inside `apply_snapshot`'s eager replay loop;
     /// marks installs as replayed.
     replay_active: bool,
@@ -988,7 +827,7 @@ impl<'p> Machine<'p> {
     }
 
     /// Methods whose replayed snapshot decision was quarantined as
-    /// poisoned (sorted). See [`VmConfig::poison_window`].
+    /// poisoned (sorted). See `POISON_WINDOW`.
     pub fn poisoned_methods(&self) -> Vec<MethodId> {
         self.poisoned_methods.iter().copied().collect()
     }
@@ -1136,10 +975,8 @@ impl<'p> Machine<'p> {
         self.snapshot_stats.seeded_methods += table.len() as u64;
         // Remember each method's seeded contribution so the quarantine
         // ladder can roll it back if the decision turns out poisoned.
-        if self.config.poison_window > 0 {
-            for (m, mp) in table.iter() {
-                self.replay_seed.entry(m).or_default().add(mp);
-            }
+        for (m, mp) in table.iter() {
+            self.replay_seed.entry(m).or_default().add(mp);
         }
         self.profiles.merge(&table);
         self.snapshot_stats.loaded += 1;
@@ -1265,7 +1102,7 @@ impl<'p> Machine<'p> {
             let pin_now = self
                 .spec
                 .get(&method)
-                .is_some_and(|s| !s.pinned && s.recompiles >= self.config.max_recompiles);
+                .is_some_and(|s| !s.pinned && s.recompiles >= MAX_RECOMPILES);
             if pin_now {
                 self.spec.get_mut(&method).expect("just probed").pinned = true;
                 self.bailouts.pinned += 1;
@@ -1395,7 +1232,7 @@ impl<'p> Machine<'p> {
         let pinned = self.spec.get(&method).is_some_and(|s| s.pinned);
         Speculation {
             allow_deopt: self.config.deopt && !pinned,
-            confidence: self.config.deopt_confidence,
+            confidence: DEOPT_CONFIDENCE,
         }
     }
 
@@ -1573,7 +1410,6 @@ impl<'p> Machine<'p> {
         let drift_armed = self.config.deopt
             && !pinned
             && (force_drift || (stats.speculative_sites > 0 && has_virtual));
-        let hotness = self.profiles.invocations(method) + self.profiles.backedges(method) / 4;
         self.code.insert(
             method,
             CompiledMethod {
@@ -1586,7 +1422,6 @@ impl<'p> Machine<'p> {
                 invocations: 0,
                 virtual_dispatches: 0,
                 last_used: self.use_seq,
-                benefit: self.modeled_benefit(hotness),
                 aged: false,
             },
         );
@@ -1629,9 +1464,9 @@ impl<'p> Machine<'p> {
             });
         }
         // A replayed install starts its quarantine probation: a deopt
-        // within the first `poison_window` activations is attributed to
+        // within the first `POISON_WINDOW` activations is attributed to
         // the snapshot, not live drift.
-        if self.replay_active && self.config.poison_window > 0 {
+        if self.replay_active {
             self.replay_guard.insert(method);
         }
         // Injected cache fault: throw the fresh install straight back out,
@@ -1709,15 +1544,6 @@ impl<'p> Machine<'p> {
         self.installed_bytes = self.installed_bytes.saturating_sub(bytes);
     }
 
-    /// Modeled benefit of keeping `method` compiled, given its profiled
-    /// hotness: every profiled activation saved the interpreter dispatch
-    /// premium. Deliberately *not* scaled by graph size — benefit is the
-    /// `b` of the paper's `b|c` tuple and bytes are the `c`, so the
-    /// cost-benefit density `b/c` stays meaningful.
-    fn modeled_benefit(&self, hotness: u64) -> u64 {
-        hotness.saturating_mul(self.config.cost.interp_dispatch)
-    }
-
     /// Makes room in the budgeted cache for `pkg`, evicting victims in
     /// policy order if necessary. `Err` carries the admission-rejection
     /// reason: `no_evictable_victim` (everything resident is pinned,
@@ -1742,7 +1568,6 @@ impl<'p> Machine<'p> {
                 method: m,
                 last_used: cm.last_used,
                 uses: cm.invocations,
-                benefit: cm.benefit,
                 bytes: cm.bytes,
                 aged: cm.aged,
             })
@@ -1761,7 +1586,6 @@ impl<'p> Machine<'p> {
             method,
             last_used: now,
             uses: hotness,
-            benefit: self.modeled_benefit(hotness),
             bytes,
             aged: false,
         };
@@ -1921,13 +1745,13 @@ impl<'p> Machine<'p> {
         let Some(cm) = self.code.get(&method) else {
             return false;
         };
-        if !cm.drift_armed || cm.invocations < self.config.drift_min_samples {
+        if !cm.drift_armed || cm.invocations < DRIFT_MIN_SAMPLES {
             return false;
         }
         if cm.force_drift {
             return true;
         }
-        cm.virtual_dispatches as f64 > self.config.drift_rate * cm.invocations as f64
+        cm.virtual_dispatches as f64 > DRIFT_RATE * cm.invocations as f64
     }
 
     fn back_edge_set(&mut self, method: MethodId) -> HashSet<(BlockId, BlockId)> {
@@ -1952,7 +1776,7 @@ impl<'p> Machine<'p> {
         args: Vec<Value>,
         depth: usize,
     ) -> Result<Option<Value>, ExecError> {
-        if depth > self.config.max_depth {
+        if depth > MAX_DEPTH {
             return Err(ExecError::StackOverflow);
         }
         // Activation entry is a safepoint: a method with a request in
@@ -2007,7 +1831,7 @@ impl<'p> Machine<'p> {
     ///
     /// Inlined into `exec_method` so guest recursion costs the same number
     /// of host frames as before the deoptimization split (the stack-depth
-    /// budget in `VmConfig::max_depth` is calibrated to that).
+    /// budget in `MAX_DEPTH` is calibrated to that).
     #[inline(always)]
     fn exec_interpreted(
         &mut self,
@@ -2146,11 +1970,10 @@ impl<'p> Machine<'p> {
         }
         // Any deopt settles the probation one way or the other.
         self.replay_guard.remove(&method);
-        let window = self.config.poison_window;
         let Some(cm) = self.code.get(&method) else {
             return false;
         };
-        if window == 0 || cm.invocations > window {
+        if cm.invocations > POISON_WINDOW {
             // Survived probation: this deopt is live drift, not poison.
             return false;
         }
@@ -2165,7 +1988,7 @@ impl<'p> Machine<'p> {
         self.emit(|| CompileEvent::DecisionPoisoned {
             method,
             activations,
-            window,
+            window: POISON_WINDOW,
         });
         self.emit(|| CompileEvent::TierTransition {
             method,
@@ -2674,7 +2497,7 @@ mod tests {
         let g = fb.finish();
         p.define_method(m, g);
         // Each guest frame costs host frames; run on a thread with an
-        // explicit stack so the guest-depth guard (max_depth) fires before
+        // explicit stack so the guest-depth guard (`MAX_DEPTH`) fires before
         // the host stack does, independent of debug-build frame sizes.
         let handle = std::thread::Builder::new()
             .stack_size(32 * 1024 * 1024)

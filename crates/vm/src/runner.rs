@@ -186,7 +186,7 @@ impl BenchResult {
 /// let spec = BenchSpec { entry: m, args: vec![Value::Int(1)], iterations: 3 };
 /// let result = RunSession::new(&p, spec)
 ///     .inliner(Box::new(NoInline))
-///     .config(VmConfig::builder().hotness_threshold(2).build())
+///     .config(VmConfig { hotness_threshold: 2, ..VmConfig::default() })
 ///     .run()?;
 /// assert_eq!(result.per_iteration.len(), 3);
 /// # Ok::<(), incline_vm::BenchError>(())
@@ -431,7 +431,10 @@ mod tests {
             args: vec![Value::Int(500)],
             iterations: 12,
         };
-        let config = VmConfig::builder().hotness_threshold(3).build();
+        let config = VmConfig {
+            hotness_threshold: 3,
+            ..VmConfig::default()
+        };
         let r = RunSession::new(&p, spec)
             .inliner(Box::new(NoInline))
             .config(config)
@@ -531,7 +534,10 @@ mod tests {
             args: vec![Value::Int(500)],
             iterations: 8,
         };
-        let config = VmConfig::builder().hotness_threshold(3).build();
+        let config = VmConfig {
+            hotness_threshold: 3,
+            ..VmConfig::default()
+        };
         let store = Arc::new(crate::snapshot::MemoryStore::new());
         let cold = RunSession::new(&p, spec.clone())
             .inliner(Box::new(NoInline))
@@ -570,7 +576,10 @@ mod tests {
             args: vec![Value::Int(100)],
             iterations: 6,
         };
-        let config = VmConfig::builder().hotness_threshold(2).build();
+        let config = VmConfig {
+            hotness_threshold: 2,
+            ..VmConfig::default()
+        };
         let cold = RunSession::new(&p, spec.clone())
             .inliner(Box::new(NoInline))
             .config(config)
@@ -597,7 +606,10 @@ mod tests {
             args: vec![Value::Int(100)],
             iterations: 6,
         };
-        let config = VmConfig::builder().hotness_threshold(2).build();
+        let config = VmConfig {
+            hotness_threshold: 2,
+            ..VmConfig::default()
+        };
         let a = RunSession::new(&p, spec.clone())
             .inliner(Box::new(NoInline))
             .config(config)

@@ -31,7 +31,7 @@
 
 use std::sync::Arc;
 
-use incline_ir::{MethodId, Program, Rng64};
+use incline_ir::{MethodId, Program, Rng64, StructuralHasher};
 use incline_trace::{CompileEvent, NullSink, TraceSink};
 
 use crate::cache::CacheStats;
@@ -262,7 +262,7 @@ fn schedule(tenants: &[TenantSpec], spec: &ServerSpec) -> Vec<Arrival> {
 /// # p.define_method(m, g);
 /// let spec = ServerSpec { requests: 10, ..ServerSpec::default() };
 /// let report = ServerSession::new(&p, vec![TenantSpec::new("t0", m)], spec)
-///     .config(VmConfig::builder().hotness_threshold(3).build())
+///     .config(VmConfig { hotness_threshold: 3, ..VmConfig::default() })
 ///     .serve()?;
 /// assert_eq!(report.requests, 10);
 /// # Ok::<(), incline_vm::ServerError>(())
@@ -405,7 +405,7 @@ impl<'p> ServerSession<'p> {
         let mut clock = 0u64;
         let mut served = vec![0u64; n];
         let mut failed = vec![0u64; n];
-        let mut digests = vec![0xcbf2_9ce4_8422_2325u64; n];
+        let mut digests = vec![StructuralHasher::new(); n];
         let mut lat_all = Vec::with_capacity(arrivals.len());
         let mut stall_all = Vec::with_capacity(arrivals.len());
         let mut lat_tenant: Vec<Vec<u64>> = vec![Vec::new(); n];
@@ -439,9 +439,7 @@ impl<'p> ServerSession<'p> {
                         Some(v) => format!("{v:?}"),
                         None => "()".to_string(),
                     };
-                    for b in rendered.bytes() {
-                        digests[t] = (digests[t] ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-                    }
+                    digests[t].write_bytes(rendered.as_bytes());
                     if self.sink.enabled() {
                         self.sink.emit(CompileEvent::RequestRetired {
                             tenant: tenant.name.clone(),
@@ -484,7 +482,7 @@ impl<'p> ServerSession<'p> {
                 failed: failed[i],
                 latency: LatencyStats::of(&lat_tenant[i]),
                 stall: LatencyStats::of(&stall_tenant[i]),
-                digest: digests[i],
+                digest: digests[i].finish(),
             })
             .collect();
         let max_queue_depth = queue_depth.iter().map(|&(_, d)| d).max().unwrap_or(0);
@@ -587,7 +585,10 @@ mod tests {
             ..ServerSpec::default()
         };
         let report = ServerSession::new(&p, tenants(a, b), spec)
-            .config(VmConfig::builder().hotness_threshold(4).build())
+            .config(VmConfig {
+                hotness_threshold: 4,
+                ..VmConfig::default()
+            })
             .serve()
             .unwrap();
         assert_eq!(report.requests, 60);
@@ -612,12 +613,11 @@ mod tests {
                     ..ServerSpec::default()
                 },
             )
-            .config(
-                VmConfig::builder()
-                    .hotness_threshold(4)
-                    .compile_threads(threads)
-                    .build(),
-            )
+            .config(VmConfig {
+                hotness_threshold: 4,
+                compile_threads: threads,
+                ..VmConfig::default()
+            })
             .serve()
             .unwrap()
         };
@@ -661,7 +661,10 @@ mod tests {
             requests: 80,
             ..ServerSpec::default()
         };
-        let config = VmConfig::builder().hotness_threshold(4).build();
+        let config = VmConfig {
+            hotness_threshold: 4,
+            ..VmConfig::default()
+        };
         let store = Arc::new(crate::snapshot::MemoryStore::new());
         let cold = ServerSession::new(&p, tenants(a, b), spec.clone())
             .config(config)

@@ -53,7 +53,7 @@ use std::path::{Path, PathBuf};
 use std::str::FromStr;
 use std::sync::{Arc, Mutex};
 
-use incline_ir::{BlockId, ClassId, MethodId, Program};
+use incline_ir::{BlockId, ClassId, MethodId, Program, StructuralHasher};
 use incline_profile::{MethodProfile, ProfileTable};
 
 use crate::machine::CompileStage;
@@ -121,7 +121,7 @@ pub struct SnapshotStats {
     /// profile no longer justified them.
     pub aged_out: u64,
     /// Replayed decisions quarantined after deoptimizing within their
-    /// first `poison_window` compiled activations (excluded from the next
+    /// first 8 compiled activations (excluded from the next
     /// `snapshot_out`).
     pub poisoned: u64,
 }
@@ -220,17 +220,13 @@ impl std::error::Error for SnapshotError {}
 
 // ---- fingerprint & hashing -------------------------------------------------
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x100_0000_01b3;
-
-/// FNV-1a 64 over a byte slice — the workspace's stock digest (same
-/// constants as the server report's answer digests).
+/// FNV-1a 64 over a byte slice — the workspace's stock digest, computed
+/// by the one [`StructuralHasher`] (the server report's answer digests and
+/// graph fingerprints use it too).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-    }
-    h
+    let mut h = StructuralHasher::new();
+    h.write_bytes(bytes);
+    h.finish()
 }
 
 /// Fingerprints a program by hashing its printed text: any change to a

@@ -64,7 +64,10 @@ fn main() -> Result<(), incline::vm::ExecError> {
     // Run it: the first iterations interpret (collecting profiles), then
     // the broker hands hot methods to the incremental inliner. The
     // measurement protocol is one fluent `RunSession`.
-    let config = VmConfig::builder().hotness_threshold(3).build();
+    let config = VmConfig {
+        hotness_threshold: 3,
+        ..VmConfig::default()
+    };
     let spec = BenchSpec {
         entry,
         args: vec![Value::Int(10_000)],

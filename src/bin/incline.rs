@@ -114,9 +114,9 @@ keeps interpreting (INCLINE_COMPILE_THREADS sets the pool from the env).
 --no-trial-cache disables deep-inlining-trial memoization (results are
 byte-identical either way; the cache only speeds compilation up).
 Code cache: --cache-budget BYTES bounds installed code (0 = unbounded,
-the default); --eviction picks the victim policy (lru, hotness,
-cost-benefit). --icache-capacity / --icache-scale tune the cost model's
-instruction-cache pressure curve.
+the default); --eviction picks the victim policy (lru or hotness).
+--icache-capacity / --icache-scale tune the cost model's instruction-cache
+pressure curve.
 Snapshots: --snapshot-out FILE persists profiles + compile decisions after
 the run; --snapshot-in FILE replays them before the first iteration
 (--replay eager recompiles the decided set up front, --replay seed only

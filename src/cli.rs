@@ -19,7 +19,7 @@ use incline_baselines::{C2Inliner, GreedyInliner};
 use incline_core::IncrementalInliner;
 use incline_trace::{JsonlSink, StderrSink, TraceSink};
 use incline_vm::snapshot::ReplayMode;
-use incline_vm::{EvictionPolicy, Inliner, NoInline, VmConfig};
+use incline_vm::{EvictionPolicy, Inliner, InstallPolicy, NoInline, VmConfig};
 
 /// Returns true when `name` appears anywhere in `args`.
 pub fn flag(args: &[String], name: &str) -> bool {
@@ -143,22 +143,22 @@ impl CommonOpts {
     /// `hotness_threshold` and `deopt_default` are the subcommand's
     /// defaults; `--no-deopt` forces deoptimization off regardless.
     pub fn vm_config(&self, hotness_threshold: u64, deopt_default: bool) -> VmConfig {
-        let mut b = VmConfig::builder()
-            .hotness_threshold(hotness_threshold)
-            .deopt(deopt_default && !self.no_deopt)
-            .pipelined(self.pipelined)
-            .replay(self.replay)
-            .trial_cache(!self.no_trial_cache);
-        if let Some(n) = self.compile_threads {
-            b = b.compile_threads(n);
-        }
-        if let Some(n) = self.cache_budget {
-            b = b.code_cache_budget(n);
-        }
-        if let Some(p) = self.eviction {
-            b = b.eviction_policy(p);
-        }
-        let mut config = b.build();
+        let defaults = VmConfig::default();
+        let mut config = VmConfig {
+            hotness_threshold,
+            deopt: deopt_default && !self.no_deopt,
+            install_policy: if self.pipelined {
+                InstallPolicy::Safepoint
+            } else {
+                InstallPolicy::Barrier
+            },
+            replay: self.replay,
+            trial_cache: !self.no_trial_cache,
+            compile_threads: self.compile_threads.unwrap_or(defaults.compile_threads),
+            code_cache_budget: self.cache_budget.unwrap_or(defaults.code_cache_budget),
+            eviction_policy: self.eviction.unwrap_or(defaults.eviction_policy),
+            ..defaults
+        };
         let capacity = self.icache_capacity.unwrap_or(config.cost.icache_capacity);
         let scale = self.icache_scale.unwrap_or(config.cost.icache_scale);
         config.cost = config.cost.with_icache(capacity, scale);

@@ -52,7 +52,7 @@ pub mod prelude {
         CompileFuel, CompileQueue, EvictionPolicy, FaultKind, FaultPlan, FileStore, Inliner,
         InstallPolicy, LatencyStats, Machine, MemoryStore, NoInline, QueueStats, ReplayMode,
         RunSession, ServerReport, ServerSession, ServerSpec, Snapshot, SnapshotIo, SnapshotStats,
-        SnapshotStore, Speculation, TenantSpec, Value, VmConfig, VmConfigBuilder,
+        SnapshotStore, Speculation, TenantSpec, Value, VmConfig,
     };
     pub use incline_workloads::{all_benchmarks, by_name, extra_benchmarks, Suite, Workload};
 }
