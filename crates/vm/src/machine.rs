@@ -357,6 +357,22 @@ pub enum ExecError {
     StackOverflow,
     /// Step budget exceeded [`VmConfig::fuel_steps`].
     OutOfFuel,
+    /// An instruction read a value that no executed instruction or edge
+    /// defined. Verified graphs cannot do this; hand-built ones can.
+    UndefinedRegister {
+        /// The executing method.
+        method: MethodId,
+        /// The value read before its definition.
+        value: ValueId,
+    },
+    /// A virtual call's receiver class neither declares nor inherits the
+    /// selector. Verified graphs cannot do this; hand-built ones can.
+    NoImplementation {
+        /// The selector, as printed in IR text.
+        selector: String,
+        /// The receiver's class name.
+        class: String,
+    },
 }
 
 impl std::fmt::Display for ExecError {
@@ -365,6 +381,12 @@ impl std::fmt::Display for ExecError {
             ExecError::Trap(t) => write!(f, "trap: {t}"),
             ExecError::StackOverflow => write!(f, "stack overflow"),
             ExecError::OutOfFuel => write!(f, "out of fuel"),
+            ExecError::UndefinedRegister { method, value } => {
+                write!(f, "use of undefined register {value} in {method}")
+            }
+            ExecError::NoImplementation { selector, class } => {
+                write!(f, "no implementation of {selector} on {class}")
+            }
         }
     }
 }
@@ -424,6 +446,29 @@ struct CompiledMethod {
     last_used: u64,
     /// Idle past [`VmConfig::cache_age_window`]; cleared on the next use.
     aged: bool,
+}
+
+impl CompiledMethod {
+    /// Whether the drift monitor (when deoptimization is on) wants this
+    /// code invalidated before its next activation: armed speculated code
+    /// whose fallback virtual-dispatch rate exceeds the configured bound.
+    fn drift_tripped(&self) -> bool {
+        if !self.drift_armed || self.invocations < DRIFT_MIN_SAMPLES {
+            return false;
+        }
+        self.force_drift || self.virtual_dispatches as f64 > DRIFT_RATE * self.invocations as f64
+    }
+}
+
+/// What a compiled activation starts with, read from its code entry by
+/// [`Machine::enter_compiled`].
+enum CompiledEntry {
+    /// The drift monitor tripped: tier down before running anything.
+    Drifted,
+    /// Injected uncommon trap at entry.
+    ForcedDeopt,
+    /// Run `graph`; transactionally when it contains `deopt` terminators.
+    Run { graph: Arc<Graph>, deoptable: bool },
 }
 
 /// Per-method speculation bookkeeping for the storm throttle.
@@ -508,7 +553,14 @@ pub struct Machine<'p> {
     config: VmConfig,
     profiles: ProfileTable,
     code: HashMap<MethodId, CompiledMethod>,
-    back_edges: HashMap<MethodId, HashSet<(BlockId, BlockId)>>,
+    /// Per-method back-edge masks for the profiling interpreter, decoded
+    /// once on the method's first interpreted activation (see
+    /// [`Machine::back_edge_mask`]).
+    back_edges: HashMap<MethodId, Arc<[u8]>>,
+    /// Values passed along the CFG edge being taken, read before any
+    /// target parameter is written. Reused by every edge of every
+    /// activation; no call happens while it is filled.
+    edge_scratch: Vec<Value>,
     installed_bytes: u64,
     compilations: u64,
     // Fault containment.
@@ -596,6 +648,7 @@ impl<'p> Machine<'p> {
             profiles: ProfileTable::new(),
             code: HashMap::new(),
             back_edges: HashMap::new(),
+            edge_scratch: Vec::new(),
             installed_bytes: 0,
             compilations: 0,
             blacklist: HashSet::new(),
@@ -1735,39 +1788,68 @@ impl<'p> Machine<'p> {
         }
     }
 
-    /// Whether the drift monitor wants to invalidate `method` before its
-    /// next compiled activation: armed speculated code whose fallback
-    /// virtual-dispatch rate exceeds the configured bound.
-    fn drift_tripped(&self, method: MethodId) -> bool {
-        if !self.config.deopt {
-            return false;
-        }
-        let Some(cm) = self.code.get(&method) else {
-            return false;
-        };
-        if !cm.drift_armed || cm.invocations < DRIFT_MIN_SAMPLES {
-            return false;
-        }
-        if cm.force_drift {
-            return true;
-        }
-        cm.virtual_dispatches as f64 > DRIFT_RATE * cm.invocations as f64
-    }
-
-    fn back_edge_set(&mut self, method: MethodId) -> HashSet<(BlockId, BlockId)> {
-        if let Some(s) = self.back_edges.get(&method) {
-            return s.clone();
+    /// Decodes `method`'s back edges for the profiling interpreter, once
+    /// per method: byte `b` of the mask has bit 0 set when the jump or
+    /// then-edge out of block `b` is a loop back edge, and bit 1 when the
+    /// else-edge is. Derived from the same [`LoopForest`] tail/header pairs
+    /// the profile has always counted, so both targets of a branch count
+    /// when both are headers reached from a tail.
+    fn back_edge_mask(&mut self, method: MethodId) -> Arc<[u8]> {
+        if let Some(mask) = self.back_edges.get(&method) {
+            return Arc::clone(mask);
         }
         let graph = &self.program.method(method).graph;
         let forest = LoopForest::compute(graph);
-        let mut set = HashSet::new();
-        for l in &forest.loops {
-            for &tail in &l.back_edges {
-                set.insert((tail, l.header));
-            }
+        let is_back_edge = |tail: BlockId, dest: BlockId| {
+            forest
+                .loops
+                .iter()
+                .any(|l| l.header == dest && l.back_edges.contains(&tail))
+        };
+        let mask: Arc<[u8]> = graph
+            .block_ids()
+            .map(|b| match &graph.block(b).term {
+                Terminator::Jump(d, _) => u8::from(is_back_edge(b, *d)),
+                Terminator::Branch {
+                    then_dest,
+                    else_dest,
+                    ..
+                } => {
+                    u8::from(is_back_edge(b, then_dest.0))
+                        | u8::from(is_back_edge(b, else_dest.0)) << 1
+                }
+                _ => 0,
+            })
+            .collect();
+        self.back_edges.insert(method, Arc::clone(&mask));
+        mask
+    }
+
+    /// Reads and updates `method`'s code entry for one compiled activation
+    /// in a single `code` lookup; `None` when no code is installed.
+    ///
+    /// The drift monitor is evaluated first, between activations, so
+    /// tiering down needs no state transfer — the next activation simply
+    /// starts interpreted on a fresh frame. Otherwise the activation is a
+    /// use tick for the eviction clock: recency feeds LRU and the decay
+    /// policy, and any activation un-ages the method.
+    fn enter_compiled(&mut self, method: MethodId) -> Option<CompiledEntry> {
+        let cm = self.code.get_mut(&method)?;
+        if self.config.deopt && cm.drift_tripped() {
+            return Some(CompiledEntry::Drifted);
         }
-        self.back_edges.insert(method, set.clone());
-        set
+        self.use_seq += 1;
+        cm.invocations += 1;
+        cm.last_used = self.use_seq;
+        cm.aged = false;
+        Some(if cm.force_deopt {
+            CompiledEntry::ForcedDeopt
+        } else {
+            CompiledEntry::Run {
+                graph: Arc::clone(&cm.graph),
+                deoptable: cm.has_deopt,
+            }
+        })
     }
 
     fn exec_method(
@@ -1785,8 +1867,8 @@ impl<'p> Machine<'p> {
         if !self.in_flight.is_empty() && self.in_flight.contains(&method) {
             self.drain_compile_queue();
         }
-        if self.code.contains_key(&method) {
-            return match self.exec_compiled(method, args, depth)? {
+        if let Some(entry) = self.enter_compiled(method) {
+            return match self.exec_compiled(method, entry, args, depth)? {
                 CompiledExit::Returned(v) => Ok(v),
                 // The activation deoptimized: effects rolled back, code
                 // invalidated. Replay it interpreted — profiling resumes
@@ -1808,12 +1890,14 @@ impl<'p> Machine<'p> {
                 // code immediately — the classic synchronous behavior.
                 InstallPolicy::Barrier => {
                     if self.compile(method) {
-                        return match self.exec_compiled(method, args, depth)? {
-                            CompiledExit::Returned(v) => Ok(v),
-                            CompiledExit::Deoptimized(args) => {
-                                self.exec_interpreted(method, args, depth)
-                            }
-                        };
+                        if let Some(entry) = self.enter_compiled(method) {
+                            return match self.exec_compiled(method, entry, args, depth)? {
+                                CompiledExit::Returned(v) => Ok(v),
+                                CompiledExit::Deoptimized(args) => {
+                                    self.exec_interpreted(method, args, depth)
+                                }
+                            };
+                        }
                     }
                 }
                 // Safepoint: hand the request to the background broker and
@@ -1857,35 +1941,17 @@ impl<'p> Machine<'p> {
     fn exec_compiled(
         &mut self,
         method: MethodId,
+        entry: CompiledEntry,
         args: Vec<Value>,
         depth: usize,
     ) -> Result<CompiledExit, ExecError> {
-        // Drift monitor: evaluated between activations, so tiering down
-        // needs no state transfer — the next activation simply starts
-        // interpreted on a fresh frame.
-        if self.drift_tripped(method) {
-            return Ok(self.deoptimize(method, "drift", args));
-        }
-        // Every compiled activation is a use tick for the eviction clock:
-        // recency feeds LRU and the decay policy, and any activation
-        // un-ages the method.
-        self.use_seq += 1;
-        let now = self.use_seq;
-        let cm = self
-            .code
-            .get_mut(&method)
-            .expect("caller checked code presence");
-        cm.invocations += 1;
-        cm.last_used = now;
-        cm.aged = false;
-        let force_deopt = cm.force_deopt;
-        let deoptable = cm.has_deopt;
-        let graph = Arc::clone(&cm.graph);
-        if force_deopt {
+        let (graph, deoptable) = match entry {
+            CompiledEntry::Drifted => return Ok(self.deoptimize(method, "drift", args)),
             // Injected uncommon trap at entry: no effects yet, nothing to
             // roll back. One-shot by construction — the code is gone.
-            return Ok(self.deoptimize(method, "injected", args));
-        }
+            CompiledEntry::ForcedDeopt => return Ok(self.deoptimize(method, "injected", args)),
+            CompiledEntry::Run { graph, deoptable } => (graph, deoptable),
+        };
         if !deoptable {
             // The live-activation guard makes the method unevictable while
             // its compiled frame is on the stack (an install in a callee
@@ -2030,11 +2096,8 @@ impl<'p> Machine<'p> {
         depth: usize,
     ) -> Result<Flow, ExecError> {
         let profiling = tier == Tier::Interpreted;
-        let back_edges = if profiling {
-            self.back_edge_set(method)
-        } else {
-            HashSet::new()
-        };
+        // Compiled code keeps no profile, so it never needs the mask.
+        let back_edges = profiling.then(|| self.back_edge_mask(method));
         let mut regs: Vec<Option<Value>> = vec![None; graph.value_count()];
         let mut block = graph.entry();
         {
@@ -2046,9 +2109,13 @@ impl<'p> Machine<'p> {
         }
 
         macro_rules! reg {
-            ($v:expr) => {
-                regs[$v.index()].expect("use of undefined register (verifier bug)")
-            };
+            ($v:expr) => {{
+                let value = $v;
+                match regs[value.index()] {
+                    Some(v) => v,
+                    None => return Err(ExecError::UndefinedRegister { method, value }),
+                }
+            }};
         }
 
         loop {
@@ -2226,7 +2293,10 @@ impl<'p> Machine<'p> {
                         None
                     }
                     Op::Call(info) => {
-                        let call_args: Vec<Value> = data.args.iter().map(|&a| reg!(a)).collect();
+                        let mut call_args = Vec::with_capacity(data.args.len());
+                        for &a in &data.args {
+                            call_args.push(reg!(a));
+                        }
                         let (target, is_virtual) = match info.target {
                             CallTarget::Static(m) => (m, false),
                             CallTarget::Virtual(sel) => {
@@ -2246,13 +2316,12 @@ impl<'p> Machine<'p> {
                                         cm.virtual_dispatches += 1;
                                     }
                                 }
-                                let m = self.program.resolve(class, sel).unwrap_or_else(|| {
-                                    panic!(
-                                        "no implementation of {} on {}",
-                                        self.program.selector(sel),
-                                        self.program.class(class).name
-                                    )
-                                });
+                                let Some(m) = self.program.resolve(class, sel) else {
+                                    return Err(ExecError::NoImplementation {
+                                        selector: self.program.selector(sel).to_string(),
+                                        class: self.program.class(class).name.clone(),
+                                    });
+                                };
                                 (m, true)
                             }
                         };
@@ -2273,10 +2342,14 @@ impl<'p> Machine<'p> {
                 }
             }
 
-            // Terminator.
-            let (dest, edge_args): (BlockId, Vec<ValueId>) = match &bd.term {
+            // Terminator. `slot` is the successor's bit in the back-edge mask.
+            let (dest, edge_args, slot): (BlockId, &[ValueId], u8) = match &bd.term {
                 Terminator::Return(v) => {
-                    return Ok(Flow::Return(v.map(|v| reg!(v))));
+                    let value = match *v {
+                        Some(v) => Some(reg!(v)),
+                        None => None,
+                    };
+                    return Ok(Flow::Return(value));
                 }
                 Terminator::Deopt { reason } => {
                     if tier == Tier::Compiled {
@@ -2288,29 +2361,35 @@ impl<'p> Machine<'p> {
                     // lower tier to transfer to.
                     return Err(ExecError::Trap(TrapKind::Deopt));
                 }
-                Terminator::Jump(d, a) => (*d, a.clone()),
+                Terminator::Jump(d, a) => (*d, a, 1),
                 Terminator::Branch {
                     cond,
                     then_dest,
                     else_dest,
                 } => {
-                    let taken = reg!(*cond).as_bool();
-                    let (d, a) = if taken { then_dest } else { else_dest };
-                    (*d, a.clone())
+                    if reg!(*cond).as_bool() {
+                        (then_dest.0, &then_dest.1, 1)
+                    } else {
+                        (else_dest.0, &else_dest.1, 2)
+                    }
                 }
                 Terminator::Unterminated => {
                     unreachable!("verified graphs have no unterminated blocks")
                 }
             };
             self.exec_cycles += self.config.cost.edge_cost(edge_args.len(), tier);
-            if profiling && back_edges.contains(&(block, dest)) {
-                self.profiles.record_backedge(method);
+            if let Some(mask) = &back_edges {
+                if mask[block.index()] & slot != 0 {
+                    self.profiles.record_backedge(method);
+                }
             }
             // Bind target params (read all values before writing: a block
             // may pass its own params permuted).
-            let passed: Vec<Value> = edge_args.iter().map(|&a| reg!(a)).collect();
-            let target_params: Vec<ValueId> = graph.block(dest).params.clone();
-            for (&p, v) in target_params.iter().zip(passed) {
+            self.edge_scratch.clear();
+            for &a in edge_args {
+                self.edge_scratch.push(reg!(a));
+            }
+            for (&p, &v) in graph.block(dest).params.iter().zip(&self.edge_scratch) {
                 regs[p.index()] = Some(v);
             }
             block = dest;
@@ -2650,6 +2729,292 @@ mod tests {
             vm.run(m, vec![Value::Int(-1)]),
             Err(ExecError::Trap(TrapKind::Bounds))
         );
+    }
+
+    /// An inliner that installs the method's own graph untouched, so the
+    /// compiled tier runs exactly the CFG a test built.
+    struct Verbatim;
+    impl Inliner for Verbatim {
+        fn name(&self) -> &str {
+            "verbatim"
+        }
+        fn compile(
+            &self,
+            method: MethodId,
+            cx: &CompileCx<'_>,
+        ) -> Result<CompileOutcome, CompileError> {
+            let graph = cx.program.method(method).graph.clone();
+            let size = graph.size();
+            Ok(CompileOutcome {
+                graph,
+                work_nodes: size,
+                stats: InlineStats::default(),
+            })
+        }
+    }
+
+    /// swap(n, a, b): a self-loop whose header passes its own params
+    /// permuted, `(a, b) -> (b, a)`, n times; returns `a * 1000 + b`. With
+    /// `deopt_arm`, a never-taken `n < 0` arm ends in a `deopt`
+    /// terminator, which makes every compiled activation transactional.
+    fn swap_program(deopt_arm: bool) -> (Program, MethodId) {
+        let mut p = Program::new();
+        let m = p.declare_function("swap", vec![Type::Int, Type::Int, Type::Int], Type::Int);
+        let mut fb = FunctionBuilder::new(&p, m);
+        let (n, a, b) = (fb.param(0), fb.param(1), fb.param(2));
+        let zero = fb.const_int(0);
+        let (head, hp) = fb.add_block_with_params(&[Type::Int, Type::Int, Type::Int]);
+        let (done, dp) = fb.add_block_with_params(&[Type::Int, Type::Int]);
+        let trap = deopt_arm.then(|| fb.add_block());
+        match trap {
+            Some(trap) => {
+                let neg = fb.cmp(CmpOp::ILt, n, zero);
+                fb.branch(neg, (trap, vec![]), (head, vec![zero, a, b]));
+            }
+            None => fb.jump(head, vec![zero, a, b]),
+        }
+        fb.switch_to(head);
+        let more = fb.cmp(CmpOp::ILt, hp[0], n);
+        let one = fb.const_int(1);
+        let i2 = fb.iadd(hp[0], one);
+        fb.branch(
+            more,
+            (head, vec![i2, hp[2], hp[1]]),
+            (done, vec![hp[1], hp[2]]),
+        );
+        fb.switch_to(done);
+        let k = fb.const_int(1000);
+        let hi = fb.imul(dp[0], k);
+        let r = fb.iadd(hi, dp[1]);
+        fb.ret(Some(r));
+        let mut g = fb.finish();
+        if let Some(trap) = trap {
+            g.block_mut(trap).term = Terminator::Deopt {
+                reason: DeoptReason::Injected,
+            };
+        }
+        p.define_method(m, g);
+        (p, m)
+    }
+
+    /// `swap_program`'s answer, folded on the host through the shared
+    /// scalar semantics of `incline_ir::eval`.
+    fn swap_reference(n: i64, a: i64, b: i64) -> i64 {
+        let (mut a, mut b) = (a, b);
+        for _ in 0..n {
+            std::mem::swap(&mut a, &mut b);
+        }
+        let hi = eval::eval_int_bin(incline_ir::BinOp::IMul, a, 1000).unwrap();
+        eval::eval_int_bin(incline_ir::BinOp::IAdd, hi, b).unwrap()
+    }
+
+    #[test]
+    fn permuted_edge_arguments_bind_in_every_tier() {
+        let inputs = [(0, 1, 2), (1, 1, 2), (5, 7, -3), (6, 7, -3)];
+        let barrier = VmConfig {
+            hotness_threshold: 1,
+            compile_threads: 0,
+            install_policy: InstallPolicy::Barrier,
+            deopt: true,
+            ..VmConfig::default()
+        };
+        let interpreted = VmConfig {
+            jit: false,
+            ..barrier
+        };
+        // (label, config, graph with a deopt arm, expected compiled code)
+        let cases = [
+            ("interpreted", interpreted, false, None),
+            ("compiled", barrier, false, Some(false)),
+            ("transactional", barrier, true, Some(true)),
+        ];
+        for (label, config, deopt_arm, compiled) in cases {
+            let (p, m) = swap_program(deopt_arm);
+            let mut vm = Machine::new(&p, Box::new(Verbatim), config);
+            for (n, a, b) in inputs {
+                let args = vec![Value::Int(n), Value::Int(a), Value::Int(b)];
+                assert_eq!(
+                    vm.run(m, args).unwrap().value,
+                    Some(Value::Int(swap_reference(n, a, b))),
+                    "{label} tier, swap({n}, {a}, {b})"
+                );
+            }
+            assert_eq!(
+                vm.code.get(&m).map(|cm| cm.has_deopt),
+                compiled,
+                "{label} tier ran the expected code"
+            );
+            assert_eq!(
+                vm.bailouts().deopts,
+                0,
+                "{label}: the deopt arm is never taken"
+            );
+        }
+    }
+
+    /// nest(n, m): an outer loop of n trips around an inner self-loop of m
+    /// trips. The inner header's branch has two loop headers as targets,
+    /// both through back edges (itself and the outer header); the outer
+    /// header's branch enters the inner header through a forward edge.
+    fn nested_loop_program() -> (Program, MethodId) {
+        let mut p = Program::new();
+        let f = p.declare_function("nest", vec![Type::Int, Type::Int], Type::Int);
+        let mut fb = FunctionBuilder::new(&p, f);
+        let (n, m) = (fb.param(0), fb.param(1));
+        let zero = fb.const_int(0);
+        let one = fb.const_int(1);
+        let (outer, op) = fb.add_block_with_params(&[Type::Int]);
+        let (inner, ip) = fb.add_block_with_params(&[Type::Int, Type::Int]);
+        let done = fb.add_block();
+        fb.jump(outer, vec![zero]);
+        fb.switch_to(outer);
+        let c = fb.cmp(CmpOp::ILt, op[0], n);
+        fb.branch(c, (inner, vec![op[0], zero]), (done, vec![]));
+        fb.switch_to(inner);
+        let j2 = fb.iadd(ip[1], one);
+        let i2 = fb.iadd(ip[0], one);
+        let c2 = fb.cmp(CmpOp::ILt, j2, m);
+        fb.branch(c2, (inner, vec![ip[0], j2]), (outer, vec![i2]));
+        fb.switch_to(done);
+        fb.ret(Some(n));
+        let g = fb.finish();
+        p.define_method(f, g);
+        (p, f)
+    }
+
+    #[test]
+    fn back_edge_mask_counts_the_loop_forest_pairs() {
+        let (p, f) = nested_loop_program();
+        let mut vm = Machine::new(
+            &p,
+            Box::new(NoInline),
+            VmConfig {
+                jit: false,
+                ..VmConfig::default()
+            },
+        );
+        // The mask marks exactly the (tail, header) pairs of the loop
+        // forest, slot by slot.
+        let graph = &p.method(f).graph;
+        let forest = LoopForest::compute(graph);
+        let pairs: HashSet<(BlockId, BlockId)> = forest
+            .loops
+            .iter()
+            .flat_map(|l| l.back_edges.iter().map(|&tail| (tail, l.header)))
+            .collect();
+        assert_eq!(pairs.len(), 2, "inner self edge and inner -> outer");
+        let mask = vm.back_edge_mask(f);
+        for b in graph.block_ids() {
+            let successors: Vec<BlockId> = match &graph.block(b).term {
+                Terminator::Jump(d, _) => vec![*d],
+                Terminator::Branch {
+                    then_dest,
+                    else_dest,
+                    ..
+                } => vec![then_dest.0, else_dest.0],
+                _ => vec![],
+            };
+            for (slot, dest) in successors.into_iter().enumerate() {
+                assert_eq!(
+                    mask[b.index()] & (1 << slot) != 0,
+                    pairs.contains(&(b, dest)),
+                    "edge {b} -> {dest} (slot {slot})"
+                );
+            }
+        }
+        // Per outer trip: m - 1 inner self edges plus one inner -> outer.
+        let (n, m) = (3, 4);
+        vm.run(f, vec![Value::Int(n), Value::Int(m)]).unwrap();
+        assert_eq!(vm.profiles().backedges(f), (n * m) as u64);
+        vm.run(f, vec![Value::Int(n), Value::Int(m)]).unwrap();
+        assert_eq!(vm.profiles().backedges(f), 2 * (n * m) as u64);
+    }
+
+    #[test]
+    fn undefined_register_is_a_typed_error() {
+        // Unverified IR: the join reads a value only the `then` arm
+        // defines, so the `else` path reaches it undefined.
+        let mut p = Program::new();
+        let f = p.declare_function("f", vec![Type::Bool], Type::Int);
+        let mut fb = FunctionBuilder::new(&p, f);
+        let c = fb.param(0);
+        let t = fb.add_block();
+        let e = fb.add_block();
+        let j = fb.add_block();
+        fb.branch(c, (t, vec![]), (e, vec![]));
+        fb.switch_to(t);
+        let x = fb.const_int(1);
+        fb.jump(j, vec![]);
+        fb.switch_to(e);
+        fb.jump(j, vec![]);
+        fb.switch_to(j);
+        fb.ret(Some(x));
+        let g = fb.finish();
+        p.define_method(f, g);
+        let mut vm = Machine::new(
+            &p,
+            Box::new(NoInline),
+            VmConfig {
+                jit: false,
+                ..VmConfig::default()
+            },
+        );
+        assert_eq!(
+            vm.run(f, vec![Value::Bool(true)]).unwrap().value,
+            Some(Value::Int(1))
+        );
+        let err = vm.run(f, vec![Value::Bool(false)]).unwrap_err();
+        assert_eq!(
+            err,
+            ExecError::UndefinedRegister {
+                method: f,
+                value: x
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            format!("use of undefined register {x} in {f}")
+        );
+    }
+
+    #[test]
+    fn missing_virtual_target_is_a_typed_error() {
+        // Unverified IR: the receiver's class is unrelated to the only
+        // class declaring the selector.
+        let mut p = Program::new();
+        let a = p.add_class("A", None);
+        let b = p.add_class("B", None);
+        let ma = p.declare_method(a, "id", vec![], Type::Int);
+        let mut fb = FunctionBuilder::new(&p, ma);
+        let one = fb.const_int(1);
+        fb.ret(Some(one));
+        let g = fb.finish();
+        p.define_method(ma, g);
+        let f = p.declare_function("f", vec![], Type::Int);
+        let mut fb = FunctionBuilder::new(&p, f);
+        let ob = fb.new_object(b);
+        let sel = fb.program().selector_by_name("id", 1).unwrap();
+        let r = fb.call_virtual(sel, vec![ob]).unwrap();
+        fb.ret(Some(r));
+        let g = fb.finish();
+        p.define_method(f, g);
+        let mut vm = Machine::new(
+            &p,
+            Box::new(NoInline),
+            VmConfig {
+                jit: false,
+                ..VmConfig::default()
+            },
+        );
+        let err = vm.run(f, vec![]).unwrap_err();
+        assert_eq!(
+            err,
+            ExecError::NoImplementation {
+                selector: "id/1".to_string(),
+                class: "B".to_string(),
+            }
+        );
+        assert_eq!(err.to_string(), "no implementation of id/1 on B");
     }
 
     /// An inliner that always unwinds — a stand-in for a compiler bug.

@@ -23,34 +23,34 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Per-workload allocation budgets in bytes (tuned run, 1.3× margin).
 const BUDGETS: &[(&str, u64)] = &[
-    ("avrora", 1_233_092),
-    ("batik", 9_627_641),
-    ("fop", 10_387_791),
-    ("h2", 5_755_408),
-    ("jython", 29_986_130),
-    ("luindex", 5_671_279),
-    ("lusearch", 5_595_271),
-    ("pmd", 10_781_026),
-    ("sunflow", 854_172),
-    ("xalan", 10_388_622),
-    ("actors", 2_609_192),
-    ("apparat", 2_213_950),
-    ("factorie", 264_230_739),
-    ("kiama", 16_531_156),
-    ("scalac", 18_245_275),
-    ("scaladoc", 27_962_534),
-    ("scalap", 12_556_258),
-    ("scalariform", 15_321_725),
-    ("scalatest", 2_339_161),
-    ("scalaxb", 2_192_867),
-    ("specs", 1_973_705),
-    ("tmt", 2_382_616),
-    ("gauss-mix", 52_068_823),
-    ("dec-tree", 5_585_039),
-    ("naive-bayes", 3_660_469),
-    ("neo4j", 4_142_602),
-    ("dotty", 1_898_144),
-    ("stmbench7", 2_411_169),
+    ("avrora", 698_981),
+    ("batik", 7_565_634),
+    ("fop", 7_876_613),
+    ("h2", 2_354_754),
+    ("jython", 29_282_498),
+    ("luindex", 776_115),
+    ("lusearch", 1_009_652),
+    ("pmd", 8_272_422),
+    ("sunflow", 670_832),
+    ("xalan", 7_879_493),
+    ("actors", 2_301_467),
+    ("apparat", 1_104_438),
+    ("factorie", 260_571_661),
+    ("kiama", 14_890_182),
+    ("scalac", 16_995_861),
+    ("scaladoc", 27_306_992),
+    ("scalap", 10_850_554),
+    ("scalariform", 13_384_362),
+    ("scalatest", 1_204_969),
+    ("scalaxb", 1_103_322),
+    ("specs", 892_792),
+    ("tmt", 2_074_943),
+    ("gauss-mix", 50_925_609),
+    ("dec-tree", 4_975_324),
+    ("naive-bayes", 1_426_893),
+    ("neo4j", 2_399_178),
+    ("dotty", 1_401_254),
+    ("stmbench7", 936_055),
 ];
 
 #[test]
